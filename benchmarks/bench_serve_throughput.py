@@ -92,11 +92,10 @@ def _serve_once(updates: int) -> dict:
         "updates": updates,
         "batch": BATCH,
         "queries": QUERIES,
-        "backend": service.backend.name,
         "updates_per_sec": round(updates / ingest),
         "queries_per_sec": round(QUERIES / query),
         "refresh_sec": round(refresh, 4),
-        "edges": sum(service._edges.values()),
+        "edges": service.stats()["edges"],
         "components": view.num_components,
         "connected_hits": hits,
     }
@@ -115,7 +114,7 @@ def test_serve_throughput(benchmark):
         f"Dynamic-graph service: streamed signed updates (n={N}) "
         "and warm-forest queries",
         rows,
-        ["updates", "batch", "backend", "updates_per_sec",
+        ["updates", "batch", "updates_per_sec",
          "queries_per_sec", "refresh_sec", "edges", "components"],
         persist=not SMOKE,
     )

@@ -1,24 +1,22 @@
-"""Vectorized sketch substrate throughput: SketchBank vs the seed object stack.
+"""Sketch substrate throughput: the array-native SketchBank vs the seed object stack.
 
 Builds the full AGM sketch state (every ``(phase, copy, level)`` one-sparse
 counter for every touched vertex) for a 100k-edge random graph through
-three implementations:
+two implementations:
 
 * *object (seed)*: a frozen transplant of the seed per-object stack — one
   ``L0Sampler`` per ``(vertex, phase, copy)`` wrapping one
   ``OneSparseSketch`` per level, updated per endpoint with per-object
   method dispatch, one Horner hash call per (endpoint, sampler) and one
   ``pow`` per touched level;
-* *bank (pure)*: ``SketchBank.update_edges`` on the pure-Python backend —
-  batched Horner over the whole edge vector, per-edge depths and
-  fingerprint powers computed once and applied ``+1``/``-1`` to both
-  endpoint rows, powers served from baby-step/giant-step tables;
-* *bank (numpy)*: the same bank fed by the vectorized uint64 kernels
-  (optional ``[fast]`` extra).
+* *SketchBank*: ``SketchBank.update_edges`` — numpy counter arrays, one
+  stacked Horner pass over all samplers and edges, fingerprint powers
+  from stacked baby-step/giant-step tables, and array scatters applied
+  ``+1``/``-1`` to both endpoint rows.
 
-All three must produce bit-identical counters (asserted).  The table
-reports edge updates per second and the speedup over the seed path; the
-tentpole's acceptance bar is >= 5x for the pure-Python bank.
+Both must produce bit-identical counters (asserted).  The table reports
+edge updates per second and the speedup over the seed path; the
+acceptance bar is >= 5x for the bank.
 
 Environment knobs (the CI smoke job shrinks both):
 ``REPRO_BENCH_SKETCH_EDGES`` (default 100000), ``REPRO_BENCH_SKETCH_N``
@@ -30,7 +28,6 @@ import random
 import time
 
 from repro.sketches import GraphSketchSpec, SketchBank
-from repro.sketches.backend import HAS_NUMPY
 from repro.sketches.field import PRIME, trailing_zeros
 from repro.env import env_flag
 
@@ -120,8 +117,8 @@ def build_seed_objects(spec, edges):
     return sketches
 
 
-def build_bank(spec, edges, backend):
-    bank = SketchBank(spec, backend=backend)
+def build_bank(spec, edges):
+    bank = SketchBank(spec)
     bank.update_edges(edges)
     return bank
 
@@ -130,14 +127,15 @@ def assert_equal_state(seed_sketches, bank):
     assert sorted(seed_sketches) == sorted(bank.vertices), "vertex sets differ"
     for vertex, sketch in seed_sketches.items():
         row = bank.row(vertex)
+        s0, s1, s2 = row.s0.tolist(), row.s1.tolist(), row.s2.tolist()
         index = 0
         for phase in sketch.samplers:
             for sampler in phase:
                 for level in sampler.levels:
                     assert (
-                        level.s0 == row.s0[index]
-                        and level.s1 == row.s1[index]
-                        and level.s2 == row.s2[index]
+                        level.s0 == s0[index]
+                        and level.s1 == s1[index]
+                        and level.s2 == s2[index]
                     ), f"counter mismatch at vertex {vertex}, slot {index}"
                     index += 1
 
@@ -151,11 +149,11 @@ def run_comparison():
     seed_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    bank_pure = build_bank(spec, edges, backend="pure")
-    pure_elapsed = time.perf_counter() - start
-    assert_equal_state(seed_sketches, bank_pure)
+    bank = build_bank(spec, edges)
+    bank_elapsed = time.perf_counter() - start
+    assert_equal_state(seed_sketches, bank)
 
-    rows = [
+    return [
         {
             "implementation": "object stack (seed)",
             "edges": EDGES,
@@ -163,27 +161,12 @@ def run_comparison():
             "speedup": 1.0,
         },
         {
-            "implementation": "SketchBank (pure)",
+            "implementation": "SketchBank",
             "edges": EDGES,
-            "edges_per_sec": round(EDGES / pure_elapsed),
-            "speedup": round(seed_elapsed / pure_elapsed, 2),
+            "edges_per_sec": round(EDGES / bank_elapsed),
+            "speedup": round(seed_elapsed / bank_elapsed, 2),
         },
     ]
-
-    if HAS_NUMPY:
-        start = time.perf_counter()
-        bank_np = build_bank(spec, edges, backend="numpy")
-        np_elapsed = time.perf_counter() - start
-        assert_equal_state(seed_sketches, bank_np)
-        rows.append(
-            {
-                "implementation": "SketchBank (numpy)",
-                "edges": EDGES,
-                "edges_per_sec": round(EDGES / np_elapsed),
-                "speedup": round(seed_elapsed / np_elapsed, 2),
-            }
-        )
-    return rows
 
 
 def test_sketch_throughput(benchmark):
@@ -201,8 +184,8 @@ def test_sketch_throughput(benchmark):
         params={"edges": EDGES, "n": N, "copies": 3},
         persist=not SMOKE,
     )
-    # The tentpole's acceptance bar: >= 5x over the seed object path in
-    # pure Python (small smoke sizes don't amortize the batching).
+    # The acceptance bar: >= 5x over the seed object path (small smoke
+    # sizes don't amortize the batching).
     if not SMOKE:
         assert rows[1]["speedup"] >= 5.0
 

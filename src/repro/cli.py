@@ -155,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="l0-sampler copies per phase")
     p.add_argument("--shards", type=int, default=4,
                    help="sketch bank shards (edge id mod shards)")
-    p.add_argument("--backend", default=None,
-                   help="sketch backend (pure/numpy/auto; default from "
-                        "REPRO_SKETCH_BACKEND)")
     p.add_argument("--max-weight", type=int, default=None, dest="max_weight",
                    help="enable approximate-MST-weight queries for weights "
                         "in [1, MAX_WEIGHT]")

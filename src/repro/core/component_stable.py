@@ -85,7 +85,6 @@ def run_component_stable(
     algorithm: Algorithm,
     rng: random.Random | None = None,
     config: ModelConfig | None = None,
-    sketch_backend: object = None,
     **algorithm_kwargs: Any,
 ) -> ComponentStableResult:
     """Run *algorithm* component-stably on *graph*.
@@ -93,16 +92,10 @@ def run_component_stable(
     Each component gets its own deployment sized to the component (the
     model allots machines per input size); all components execute in
     parallel, so the charged component cost is the max round count.
-
-    The connectivity stage runs on the vectorized sketch bank;
-    *sketch_backend* picks its compute backend (``"pure"`` default,
-    ``"numpy"`` with the ``[fast]`` extra) without changing any output.
     """
     rng = rng if rng is not None else random.Random(0)
 
-    connectivity = heterogeneous_connectivity(
-        graph, config=config, rng=rng, backend=sketch_backend
-    )
+    connectivity = heterogeneous_connectivity(graph, config=config, rng=rng)
     members: dict[int, list[int]] = {}
     for vertex, label in enumerate(connectivity.labels):
         members.setdefault(label, []).append(vertex)

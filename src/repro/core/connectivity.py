@@ -20,7 +20,7 @@ from ..mpc.words import word_size
 from ..primitives.aggregate import aggregate
 from ..primitives.broadcast import broadcast
 from ..primitives.edgestore import EdgeStore
-from ..sketches import GraphSketchSpec, SketchBank, SketchRow, bank_boruvka, get_backend
+from ..sketches import GraphSketchSpec, SketchBank, SketchRow, bank_boruvka
 
 __all__ = ["ConnectivityResult", "heterogeneous_connectivity", "sketch_components"]
 
@@ -46,19 +46,10 @@ def sketch_components(
     rng: random.Random,
     copies: int = 3,
     note: str = "connectivity",
-    backend: object = None,
 ) -> list[int]:
     """Run Theorem C.1 on the edges in *store*; returns canonical component
-    labels (smallest vertex of each component) for vertices ``0..n-1``.
-
-    *backend* selects the sketch compute backend (``"pure"`` default,
-    ``"numpy"`` when the ``[fast]`` extra is installed); the labels are
-    bit-identical either way.
-    """
+    labels (smallest vertex of each component) for vertices ``0..n-1``."""
     spec = GraphSketchSpec.generate(n, rng, copies=copies)
-    # One backend instance for every bank of this run, so the fingerprint
-    # power tables built for the shared evaluation points are shared too.
-    backend = get_backend(backend)
 
     # One machine generated the seed package; broadcast it (Claim 3 spirit).
     source = cluster.large.machine_id if cluster.has_large else cluster.small_ids[0]
@@ -72,7 +63,7 @@ def sketch_components(
     # per touched vertex.
     partials_by_machine: dict[int, list] = {}
     for machine in cluster.smalls:
-        local = SketchBank(spec, backend=backend)
+        local = SketchBank(spec)
         local.update_edges(
             (edge[0], edge[1]) for edge in machine.get(store.name, [])
         )
@@ -84,7 +75,7 @@ def sketch_components(
     rows = aggregate(
         cluster, partials_by_machine, _merge_rows, dst=dst, note=f"{note}/sum"
     )
-    bank = SketchBank(spec, backend=backend)
+    bank = SketchBank(spec)
     for vertex, row in rows.items():
         bank.insert_row(vertex, row)
     for v in range(n):
@@ -123,7 +114,6 @@ def heterogeneous_connectivity(
     rng: random.Random | None = None,
     copies: int = 3,
     instances: int = 3,
-    backend: object = None,
 ) -> ConnectivityResult:
     """Identify the connected components of *graph* in O(1) rounds.
 
@@ -148,9 +138,7 @@ def heterogeneous_connectivity(
     with cluster.ledger.parallel("instances") as par:
         for _ in range(max(1, instances)):
             with par.branch():
-                labels = sketch_components(
-                    cluster, store, graph.n, rng, copies=copies, backend=backend
-                )
+                labels = sketch_components(cluster, store, graph.n, rng, copies=copies)
             if best is None or len(set(labels)) < len(set(best)):
                 best = labels
     assert best is not None

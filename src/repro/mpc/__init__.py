@@ -29,7 +29,7 @@ item counts and wall-clock time are recorded in the ledger's
 
 ``send_indexed`` scatters group on the engine backend seam
 (:mod:`repro.mpc.backend`): the pure-Python default buckets stably per
-destination; the optional numpy backend (``pip install .[fast]``, or
+destination; the numpy backend (``backend="numpy"`` or
 ``REPRO_ENGINE_BACKEND=numpy``) groups numpy columns with one stable
 argsort and keeps payloads as zero-copy array blocks.  Ledgers are
 bit-identical across backends by construction — both derive all

@@ -2,8 +2,7 @@
 
 The engine's one per-item hot loop — grouping a ``send_indexed`` scatter
 (a destination column plus a payload column) into per-``(src, dst)``
-delivery runs — goes through a small kernel seam, mirroring
-:mod:`repro.sketches.backend`:
+delivery runs — goes through a small kernel seam:
 
 * :class:`PureEngineBackend` (the default) is dependency-free Python: a
   stable dict-bucketing pass over the destination column.
@@ -21,8 +20,7 @@ ledgers produced under either backend are bit-identical by construction.
 There is a dedicated differential test suite pinning this.
 
 The ``REPRO_ENGINE_BACKEND`` environment variable (``pure``, ``numpy`` or
-``auto``) overrides the default backend choice; numpy is the same
-optional extra as the sketch substrate (``pip install .[fast]``).
+``auto``) overrides the default backend choice.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ class NumpyEngineBackend:
     def __init__(self) -> None:
         if _np is None:
             raise RuntimeError(
-                "numpy engine backend requested but numpy is not installed; "
-                "install the optional extra with `pip install .[fast]`"
+                "numpy engine backend requested but numpy is not installed "
+                "(`pip install .` installs it)"
             )
         self._np = _np
 

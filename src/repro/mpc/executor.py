@@ -4,8 +4,7 @@ The simulated cluster used to run every machine's local compute serially
 in the coordinator process, so a "round" cost wall-clock proportional to
 the number of machines even though the model's whole point is that
 machines work in parallel.  This module is the seam that fixes it,
-mirroring the :mod:`repro.mpc.backend` / :mod:`repro.sketches.backend`
-idiom:
+mirroring the :mod:`repro.mpc.backend` idiom:
 
 * :class:`SerialExecutor` (the default) runs every *local step* inline —
   the historical behavior, bit for bit.

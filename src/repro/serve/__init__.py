@@ -15,8 +15,8 @@ stream of inserts and deletes without ever re-running the pipeline:
 
 Determinism: a service seeded with ``seed`` answers exactly as a
 from-scratch :func:`~repro.core.connectivity.sketch_components` run on
-the surviving edge multiset, under either sketch backend (pinned by the
-differential-replay tests in ``tests/serve/``).
+the surviving edge multiset (pinned by the differential-replay tests in
+``tests/serve/``).
 """
 
 from .client import ServeClient, ServeRemoteError

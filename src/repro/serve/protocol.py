@@ -37,7 +37,7 @@ from .service import GraphService, ServeConfig, ServiceError
 __all__ = ["ServeSession", "encode", "decode"]
 
 _CONFIG_FIELDS = (
-    "n", "seed", "copies", "shards", "backend", "max_weight", "epsilon"
+    "n", "seed", "copies", "shards", "max_weight", "epsilon"
 )
 
 

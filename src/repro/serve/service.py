@@ -25,11 +25,10 @@ from them on demand:
 Determinism contract (pinned by the differential-replay tests): a
 service seeded with ``seed`` answers every query *identically* to a
 from-scratch :func:`repro.core.connectivity.sketch_components` run with
-``rng=random.Random(seed)`` on the surviving edge multiset, under either
-sketch backend.  This holds because the seed package derivation is
-shared, bank counters are order-independent sums, and
-:func:`bank_boruvka`'s output partition depends only on counter contents
-(see its docstring).
+``rng=random.Random(seed)`` on the surviving edge multiset.  This holds
+because the seed package derivation is shared, bank counters are
+order-independent sums, and :func:`bank_boruvka`'s output partition
+depends only on counter contents (see its docstring).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Iterable, Sequence
 
 from ..core.mst_approx import geometric_thresholds
 from ..sketches import GraphSketchSpec, SketchBank, bank_boruvka, edge_id
-from ..sketches.backend import get_backend
 
 __all__ = ["ServeConfig", "ServiceError", "GraphService", "ComponentView"]
 
@@ -65,7 +63,6 @@ class ServeConfig:
     seed: int = 0
     copies: int = 3
     shards: int = 4
-    backend: str | None = None
     max_weight: int | None = None
     epsilon: float = 0.5
 
@@ -87,7 +84,6 @@ class ServeConfig:
             "seed": self.seed,
             "copies": self.copies,
             "shards": self.shards,
-            "backend": self.backend,
             "max_weight": self.max_weight,
             "epsilon": self.epsilon,
         }
@@ -107,17 +103,13 @@ class GraphService:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.backend = get_backend(config.backend)
         # The seed-package streams are the determinism anchors.
         # Connectivity: the first spec drawn from random.Random(seed) is
         # exactly what sketch_components(rng=random.Random(seed)) builds.
         self.spec = GraphSketchSpec.generate(
             config.n, random.Random(config.seed), copies=config.copies
         )
-        self._shards = [
-            SketchBank(self.spec, backend=self.backend)
-            for _ in range(config.shards)
-        ]
+        self._shards = [SketchBank(self.spec) for _ in range(config.shards)]
         self.thresholds: list[int] = []
         self._mst_specs: list[GraphSketchSpec] = []
         self._mst_banks: list[SketchBank] = []
@@ -136,11 +128,12 @@ class GraphService:
                     config.n, mst_rng, copies=config.copies
                 )
                 self._mst_specs.append(spec)
-                self._mst_banks.append(SketchBank(spec, backend=self.backend))
+                self._mst_banks.append(SketchBank(spec))
         #: Surviving edge multiset: (u, v, w) normalized -> multiplicity.
         #: The validation ledger — sketches never read it, but deletes are
         #: checked against it so the forest can't silently go negative.
         self._edges: Counter = Counter()
+        self._edge_total = 0
         self._components: ComponentView | None = None
         self._mst_estimate: float | None = None
         self._mst_counts: list[int] = []
@@ -185,20 +178,26 @@ class GraphService:
         Deletes must name surviving edges (same endpoints and weight);
         a batch that would drive any multiplicity negative is rejected
         *before* any counter moves, so the sketch state never diverges
-        from the validation ledger.
+        from the validation ledger.  Only the batch's own edges are
+        checked and touched: the cost is proportional to the batch.
         """
         inserts = [self._normalize(e) for e in insert]
         deletes = [self._normalize(e) for e in delete]
-        after = self._edges.copy()
-        after.update(inserts)
-        after.subtract(deletes)
-        negative = [e for e, c in after.items() if c < 0]
+        delta = Counter(inserts)
+        delta.subtract(deletes)
+        edges = self._edges
+        negative = [e for e, c in delta.items() if edges[e] + c < 0]
         if negative:
             raise ServiceError(
                 f"cannot delete edges not in the surviving set: "
                 f"{sorted(negative)[:5]}"
             )
-        self._edges = +after  # drop zero-count entries
+        for e, c in delta.items():
+            if edges[e] + c:
+                edges[e] += c
+            else:
+                edges.pop(e, None)
+        self._edge_total += len(inserts) - len(deletes)
         for batch, sign in ((inserts, 1), (deletes, -1)):
             if not batch:
                 continue
@@ -210,7 +209,7 @@ class GraphService:
         return {
             "inserted": len(inserts),
             "deleted": len(deletes),
-            "edges": sum(self._edges.values()),
+            "edges": self._edge_total,
         }
 
     def _apply(self, batch: list[tuple[int, int, int]], sign: int) -> None:
@@ -232,7 +231,7 @@ class GraphService:
     def _merged_bank(
         self, partials: Iterable[SketchBank], spec: GraphSketchSpec
     ) -> SketchBank:
-        merged = SketchBank(spec, range(self.config.n), backend=self.backend)
+        merged = SketchBank(spec, range(self.config.n))
         for partial in partials:
             merged.absorb(partial)
         return merged
@@ -323,8 +322,7 @@ class GraphService:
         return {
             "n": self.config.n,
             "shards": len(self._shards),
-            "backend": self.backend.name,
-            "edges": sum(self._edges.values()),
+            "edges": self._edge_total,
             "distinct_edges": len(self._edges),
             "updates_applied": self.updates_applied,
             "queries_answered": self.queries_answered,

@@ -8,20 +8,19 @@ Two layers coexist:
   for unit-scale use; its methods behave exactly as the seed did
   (``VertexSketch.samplers`` is now a read-only snapshot);
 * the **bank API** (:class:`SketchBank`, :class:`SketchRow`,
-  :func:`bank_boruvka`) — the array-backed substrate: all
+  :func:`bank_boruvka`) — the array-native substrate: all
   ``(phase, copy, level)`` one-sparse counters of a vertex set in three
-  flat arrays, bulk edge updates that compute each edge's hashes and
-  fingerprint powers once for both endpoints, and slice-based
-  merge/copy/zero-test.  Heavy arithmetic runs behind the backend seam of
-  :mod:`repro.sketches.backend` (pure-Python default, optional numpy via
-  ``pip install .[fast]``).
+  numpy arrays, stacked-kernel bulk edge updates that compute each edge's
+  hashes and fingerprint powers once for both endpoints, and array
+  merge/copy/zero-test (kernels in :mod:`repro.sketches.backend`).
 
-Equivalence policy: with fixed seeds, both layers and both backends
-produce bit-identical counters, samples, and component labels; this is
-pinned by golden and property tests.
+Equivalence policy: with fixed seeds, both layers produce bit-identical
+counters, samples, and component labels, equal to the pure-Python
+reference kept in the test suite; this is pinned by golden and property
+tests.
 """
 
-from .backend import HAS_NUMPY, available_backends, get_backend
+from .backend import get_backend
 from .bank import SketchBank, SketchRow, bank_boruvka
 from .field import PRIME, KWiseHash, fingerprint_power, trailing_zeros
 from .graph_sketch import (
@@ -53,6 +52,4 @@ __all__ = [
     "edge_id",
     "sketch_boruvka",
     "get_backend",
-    "available_backends",
-    "HAS_NUMPY",
 ]

@@ -1,307 +1,152 @@
-"""Compute backends for the sketch substrate.
+"""Array kernels of the sketch bank: arithmetic mod ``p = 2^61 - 1`` on uint64.
 
-All heavy sketch arithmetic — batched Horner evaluation of the k-wise
-hash polynomials, geometric-level assignment (trailing zeros), and bulk
-fingerprint powers ``z^e mod p`` — goes through a small kernel seam so the
-:class:`~repro.sketches.bank.SketchBank` can run on different substrates:
+Every heavy step of :class:`~repro.sketches.bank.SketchBank` is one of
+these kernels, applied to whole stacks of samplers at once:
 
-* :class:`PureBackend` (the default) is dependency-free Python.  Its
-  ``pow_many`` amortizes modular exponentiation with a lazily built
-  baby-step/giant-step table per evaluation point: one table costs
-  ``2 * sqrt(max_exponent)`` multiplications and turns every later power
-  into two table lookups and one multiplication.
-* :class:`NumpyBackend` vectorizes the same kernels over ``uint64``
-  arrays.  Products of two 61-bit residues need 122 bits, so the kernels
-  split operands into 32-bit limbs and reduce with the Mersenne identity
-  ``2^61 ≡ 1 (mod 2^61 - 1)`` — every intermediate fits in ``uint64`` and
-  the results are *bit-identical* to the pure kernels (there is a
-  dedicated equivalence test suite).  numpy is an optional extra:
-  ``pip install .[fast]``.
+* :func:`mulmod` -- exact ``a * b mod p``.  Products of two 61-bit
+  residues need 122 bits, so operands are split into 32-bit limbs and
+  folded with the Mersenne identity ``2^61 ≡ 1 (mod p)``; every
+  intermediate fits in uint64.
+* :func:`poly_eval` -- Horner evaluation of every sampler's k-wise hash
+  polynomial at every edge, one ``(samplers, edges)`` array per step.
+* :func:`trailing_zeros` -- geometric level depths.
+* :class:`PowerTables` -- baby-step/giant-step tables for a stack of
+  bases, built by doubling: every power is two gathers and one mulmod.
 
-Backends are stateful (the power-table cache lives on the instance), so
-:func:`get_backend` returns a fresh instance per call; share one instance
-across banks built from the same seed package to share its tables.  The
-``REPRO_SKETCH_BACKEND`` environment variable (``pure``, ``numpy`` or
-``auto``) overrides the default backend choice.
+The results are bit-identical to Python-int arithmetic; the pure-Python
+reference kernels live in the test suite as the oracle.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterable, Sequence
+
+import numpy as np
 
 from .field import PRIME
-from ..env import env_name
-
-try:  # optional accelerator — the pure backend is always available
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None
 
 __all__ = [
-    "HAS_NUMPY",
-    "PureBackend",
     "NumpyBackend",
     "get_backend",
-    "available_backends",
+    "mulmod",
+    "addmod",
+    "poly_eval",
+    "trailing_zeros",
+    "PowerTables",
 ]
 
-HAS_NUMPY = _np is not None
-
-_ENV_VAR = "REPRO_SKETCH_BACKEND"
-
-#: Largest baby-step/giant-step block worth materializing (2 * block ints
-#: of table per evaluation point).
-_MAX_BLOCK = 1 << 20
+P = np.uint64(PRIME)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_MASK29 = np.uint64((1 << 29) - 1)
 
 
-class PureBackend:
-    """Dependency-free kernels over Python ints."""
+def mulmod(a, b):
+    """Exact ``a * b mod p`` on uint64 operands ``< 2^61`` (broadcasting).
 
-    name = "pure"
+    32-bit limb split: ``a*b = (ah*bh)<<64 + (ah*bl + al*bh)<<32 + al*bl``
+    where every partial product fits in uint64, then Mersenne folding with
+    ``2^61 ≡ 1``: ``x<<64 ≡ x<<3`` and
+    ``mid<<32 ≡ (mid>>29) + ((mid & (2^29-1))<<32)``.
+    """
+    u = np.uint64
+    a_lo = a & _MASK32
+    a_hi = a >> u(32)
+    b_lo = b & _MASK32
+    b_hi = b >> u(32)
+    hi = a_hi * b_hi
+    mid = a_hi * b_lo + a_lo * b_hi
+    lo = a_lo * b_lo
+    res = (
+        (lo >> u(61))
+        + (lo & P)
+        + (mid >> u(29))
+        + ((mid & _MASK29) << u(32))
+        + (hi << u(3))
+    )
+    return _reduce_once((res >> u(61)) + (res & P))
 
-    def __init__(self) -> None:
-        # z -> (block, baby, giant) powers tables; see pow_many.
-        self._pow_tables: dict[int, tuple[int, list[int], list[int]]] = {}
 
-    def poly_eval_many(
-        self,
-        coefficients: Sequence[int],
-        xs: Sequence[int],
-        reduce_inputs: bool = True,
-    ) -> list[int]:
-        """Horner-evaluate the polynomial at every point of *xs*, mod PRIME.
+def _reduce_once(values):
+    """``values mod p`` for ``values < 2p``: below ``p``, ``values - p``
+    wraps past ``2^63`` and the minimum keeps ``values``."""
+    return np.minimum(values, values - P)
 
-        One list pass per coefficient over the whole vector instead of one
-        Python call (with its own 8-step loop) per point.
-        """
-        if reduce_inputs:
-            xs = [x % PRIME for x in xs]
-        out = [coefficients[0]] * len(xs)
-        for c in coefficients[1:]:
-            out = [(a * x + c) % PRIME for a, x in zip(out, xs)]
-        return out
 
-    def trailing_zeros_many(self, values: Iterable[int]) -> list[int]:
-        return [(v & -v).bit_length() - 1 if v else 61 for v in values]
+def addmod(a, b):
+    """``a + b mod p`` for residues ``a, b < p`` (one conditional ``-p``)."""
+    return _reduce_once(a + b)
 
-    def pow_many(
-        self, z: int, exponents: Sequence[int], max_exponent: int | None = None
-    ) -> list[int]:
-        """``z ** e mod PRIME`` for every ``e`` in *exponents* (fixed base).
 
-        Large batches build a baby-step/giant-step table for *z* —
-        ``baby[r] = z^r`` and ``giant[q] = z^(q*block)`` with
-        ``block ~ sqrt(max_exponent)`` — so each power becomes
-        ``giant[e // block] * baby[e % block] % PRIME``.  The table is
-        cached on the backend instance and reused by every later batch
-        with the same evaluation point (levels are revisited on each
-        ``update_edges`` call).  Small batches fall back to ``pow``.
-        """
-        if not exponents:
-            return []
-        table = self._pow_tables.get(z)
-        if table is None:
-            hi = max_exponent if max_exponent is not None else max(exponents)
-            block = isqrt(max(hi, 1)) + 1
-            if block > _MAX_BLOCK or 4 * len(exponents) < block:
-                return [pow(z, e, PRIME) for e in exponents]
-            baby = [1] * block
-            acc = 1
-            for r in range(1, block):
-                acc = acc * z % PRIME
-                baby[r] = acc
-            z_block = acc * z % PRIME
-            giant = [1] * (block + 1)
-            acc = 1
-            for q in range(1, block + 1):
-                acc = acc * z_block % PRIME
-                giant[q] = acc
-            table = self._pow_tables[z] = (block, baby, giant)
-        block, baby, giant = table
-        if max(exponents) < block * len(giant):
-            return [giant[e // block] * baby[e % block] % PRIME for e in exponents]
-        bound = block * len(giant)
-        return [
-            giant[e // block] * baby[e % block] % PRIME
-            if e < bound
-            else pow(z, e, PRIME)
-            for e in exponents
-        ]
+def poly_eval(coefficients, xs):
+    """Every polynomial at every point: ``out[j, e] = poly_j(xs[e]) mod p``.
+
+    *coefficients* is a ``(polys, k)`` uint64 array, highest degree first
+    (the :class:`~repro.sketches.field.KWiseHash` order); *xs* are uint64
+    residues.
+    """
+    acc = coefficients[:, :1]
+    for column in coefficients.T[1:]:
+        acc = addmod(mulmod(acc, xs), column[:, None])
+    return np.broadcast_to(acc, (len(coefficients), len(xs)))
+
+
+def trailing_zeros(values):
+    """Trailing zero bits of each uint64 value (61 for zero, as in
+    :func:`~repro.sketches.field.trailing_zeros`).  The lowest set bit is
+    an exact power of two, so its float64 exponent is exact."""
+    lowest = values & (~values + np.uint64(1))
+    exponent = np.frexp(lowest.astype(np.float64))[1] - 1
+    return np.where(values == 0, 61, exponent)
+
+
+def _power_table(bases, length: int):
+    """``out[i, r] = bases[i] ** r mod p`` for ``r < length``: the table
+    doubles in width per step, ``log2(length)`` stacked mulmods in all."""
+    table = np.ones((len(bases), 1), dtype=np.uint64)
+    step = bases  # bases ** (table width)
+    while table.shape[1] < length:
+        more = min(table.shape[1], length - table.shape[1])
+        table = np.concatenate((table, mulmod(table[:, :more], step[:, None])), axis=1)
+        step = mulmod(step, step)
+    return table
+
+
+class PowerTables:
+    """``bases[i] ** e mod p`` lookups for exponents ``0 <= e <= max_exponent``.
+
+    ``baby[i, r] = bases[i] ** r`` and ``giant[i, q] = bases[i] ** (q*b)``
+    with block ``b = isqrt(max_exponent) + 1``, so ``b^2 > max_exponent``
+    and each power is ``giant[i, e // b] * baby[i, e % b]``.
+    """
+
+    def __init__(self, bases, max_exponent: int) -> None:
+        z = np.array(bases, dtype=np.uint64)
+        self.block = isqrt(max(max_exponent, 1)) + 1
+        self.baby = _power_table(z, self.block)
+        self.giant = _power_table(mulmod(self.baby[:, -1], z), self.block)
+
+    def powers(self, points, exponents):
+        """``bases[points] ** exponents mod p``, elementwise."""
+        quotient, remainder = np.divmod(exponents, self.block)
+        return mulmod(self.giant[points, quotient], self.baby[points, remainder])
 
 
 class NumpyBackend:
-    """Vectorized kernels over ``uint64`` arrays; bit-identical to pure."""
+    """Handle naming the sketch kernels in run reports; there is one set."""
 
     name = "numpy"
 
-    def __init__(self) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not installed; "
-                "install the optional extra with `pip install .[fast]`"
-            )
-        self._np = _np
-        # z -> (block, baby, giant) uint64 power tables; see pow_many.
-        self._pow_tables: dict[int, tuple[int, object, object]] = {}
 
-    @staticmethod
-    def _mulmod(a, b):
-        """Exact ``a * b mod (2^61 - 1)`` on uint64 operands ``< 2^61``.
-
-        32-bit limb split: ``a*b = (ah*bh)<<64 + (ah*bl + al*bh)<<32 +
-        al*bl`` where every partial product fits in uint64, then Mersenne
-        folding with ``2^61 ≡ 1``: ``x<<64 ≡ x<<3`` and
-        ``mid<<32 ≡ (mid>>29) + ((mid & (2^29-1))<<32)``.
-        """
-        np = _np
-        u = np.uint64
-        mask32 = u(0xFFFFFFFF)
-        mask29 = u((1 << 29) - 1)
-        mask61 = u(PRIME)
-        a_lo = a & mask32
-        a_hi = a >> u(32)
-        b_lo = b & mask32
-        b_hi = b >> u(32)
-        hi = a_hi * b_hi
-        mid = a_hi * b_lo + a_lo * b_hi
-        lo = a_lo * b_lo
-        res = (
-            (lo >> u(61))
-            + (lo & mask61)
-            + (mid >> u(29))
-            + ((mid & mask29) << u(32))
-            + (hi << u(3))
-        )
-        res = (res >> u(61)) + (res & mask61)
-        return np.where(res >= mask61, res - mask61, res)
-
-    def poly_eval_many(
-        self,
-        coefficients: Sequence[int],
-        xs: Sequence[int],
-        reduce_inputs: bool = True,
-    ) -> list[int]:
-        np = self._np
-        if reduce_inputs:
-            xs = [x % PRIME for x in xs]
-        if not xs:
-            return []
-        arr = np.asarray(xs, dtype=np.uint64)
-        prime = np.uint64(PRIME)
-        acc = np.full(len(arr), np.uint64(coefficients[0]), dtype=np.uint64)
-        for c in coefficients[1:]:
-            acc = self._mulmod(acc, arr) + np.uint64(c)
-            acc = np.where(acc >= prime, acc - prime, acc)
-        return acc.tolist()
-
-    def trailing_zeros_many(self, values: Iterable[int]) -> list[int]:
-        np = self._np
-        arr = np.asarray(list(values), dtype=np.uint64)
-        if arr.size == 0:
-            return []
-        one = np.uint64(1)
-        lowest = arr & (~arr + one)  # isolate the lowest set bit
-        if hasattr(np, "bitwise_count"):
-            tz = np.bitwise_count(lowest - one)
-        else:  # pragma: no cover - numpy < 2.0
-            # lowest is an exact power of two, so float log2 is exact.
-            safe = np.where(lowest == 0, one, lowest)
-            tz = np.log2(safe.astype(np.float64)).astype(np.uint64)
-        return np.where(arr == 0, np.uint64(61), tz).tolist()
-
-    def _pow_binary(self, z: int, exponents: Sequence[int]) -> list[int]:
-        """Vectorized binary exponentiation: one masked multiply per
-        exponent bit, with the scalar square chain ``z^(2^j)`` kept in
-        Python ints."""
-        np = self._np
-        exps = np.asarray(exponents, dtype=np.uint64)
-        out = np.ones(len(exps), dtype=np.uint64)
-        z_pow = z % PRIME
-        for j in range(int(exps.max()).bit_length()):
-            mask = (exps >> np.uint64(j)) & np.uint64(1) == 1
-            if mask.any():
-                out[mask] = self._mulmod(out[mask], np.uint64(z_pow))
-            z_pow = z_pow * z_pow % PRIME
-        return out.tolist()
-
-    def _power_table(self, z: int, length: int):
-        """``[z^0, z^1, ..., z^(length-1)] mod PRIME`` as uint64, built by
-        doubling: ``log2(length)`` vectorized multiplies total."""
-        np = self._np
-        arr = np.ones(1, dtype=np.uint64)
-        z_shift = z % PRIME  # z^len(arr), kept as a Python int
-        while len(arr) < length:
-            arr = np.concatenate([arr, self._mulmod(arr, np.uint64(z_shift))])
-            z_shift = z_shift * z_shift % PRIME
-        return arr[:length]
-
-    def pow_many(
-        self, z: int, exponents: Sequence[int], max_exponent: int | None = None
-    ) -> list[int]:
-        """``z ** e mod PRIME`` for every ``e`` in *exponents*.
-
-        Same baby-step/giant-step scheme as the pure backend (one cached
-        table per evaluation point, each power = two gathers and one
-        vectorized multiply), so batch after batch at the same level costs
-        O(1) numpy calls instead of one masked multiply per exponent bit.
-        Batches too small to justify a table take the binary path — the
-        results are bit-identical either way.
-        """
-        np = self._np
-        if not exponents:
-            return []
-        table = self._pow_tables.get(z)
-        if table is None:
-            hi = max_exponent if max_exponent is not None else max(exponents)
-            block = isqrt(max(hi, 1)) + 1
-            # Unlike the pure backend's 2*block scalar multiplies, the
-            # doubling build costs ~2*log2(block) vectorized ones, so a
-            # table pays off even for small first batches.
-            if block > _MAX_BLOCK:
-                return self._pow_binary(z, exponents)
-            baby = self._power_table(z, block)
-            giant = self._power_table(pow(z, block, PRIME), block + 1)
-            table = self._pow_tables[z] = (block, baby, giant)
-        block, baby, giant = table
-        exps = np.asarray(exponents, dtype=np.uint64)
-        bound = block * len(giant)
-        blk = np.uint64(block)
-        if int(exps.max()) < bound:
-            return self._mulmod(giant[exps // blk], baby[exps % blk]).tolist()
-        in_range = exps < np.uint64(bound)
-        clipped = np.where(in_range, exps, np.uint64(0))
-        vals = self._mulmod(giant[clipped // blk], baby[clipped % blk]).tolist()
-        return [
-            v if ok else pow(z, e, PRIME)
-            for v, ok, e in zip(vals, in_range.tolist(), exponents)
-        ]
+_BACKEND = NumpyBackend()
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`get_backend` on this installation."""
-    return ("pure", "numpy") if HAS_NUMPY else ("pure",)
-
-
-def get_backend(backend: object = None) -> PureBackend | NumpyBackend:
-    """Resolve *backend* to a kernel-provider instance.
-
-    Accepts an existing backend instance (returned as is, so banks can
-    share power tables), a name (``"pure"``, ``"numpy"``, ``"auto"``), or
-    ``None`` — which reads ``REPRO_SKETCH_BACKEND`` and falls back to the
-    pure-Python default.
-    """
-    if backend is None:
-        backend = env_name(_ENV_VAR, "pure")
-    if isinstance(backend, (PureBackend, NumpyBackend)):
+def get_backend(backend: object = None) -> NumpyBackend:
+    """The sketch kernel handle.  ``None``, ``"numpy"`` and ``"auto"`` all
+    name the array kernels, and an instance is returned as is; any other
+    name is an error (pure-Python kernels exist only as the test suite's
+    oracle)."""
+    if isinstance(backend, NumpyBackend):
         return backend
-    name = str(backend).lower()
-    if name == "auto":
-        return NumpyBackend() if HAS_NUMPY else PureBackend()
-    if name == "pure":
-        return PureBackend()
-    if name == "numpy":
-        return NumpyBackend()  # raises if numpy is missing
-    raise ValueError(
-        f"unknown sketch backend {backend!r} (expected 'pure', 'numpy' or 'auto')"
-    )
+    if backend is None or str(backend).strip().lower() in ("numpy", "auto"):
+        return _BACKEND
+    raise ValueError(f"unknown sketch backend {backend!r} (only 'numpy' exists)")

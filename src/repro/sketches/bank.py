@@ -1,54 +1,76 @@
-"""Array-backed ℓ₀ banks: the vectorized substrate behind the AGM sketches.
+"""Array-native ℓ₀ banks: the substrate behind the AGM sketches.
 
-The seed implementation kept one :class:`~repro.sketches.l0.L0Sampler`
-object per ``(vertex, phase, copy)`` and one
-:class:`~repro.sketches.onesparse.OneSparseSketch` object per level inside
-it — thousands of tiny Python objects per vertex, each edge update walking
-them with per-object method dispatch and redoing the identical hash and
-modular exponentiation for *both* endpoints.  A :class:`SketchBank` stores
-the same state as three flat integer arrays:
+A :class:`SketchBank` holds every one-sparse counter ``(s0, s1, s2)`` of
+the AGM vertex vectors (``s0 = Σ δ``, ``s1 = Σ id·δ``,
+``s2 = Σ δ·z^id mod p``) for a vertex set, as three ``rows x slots``
+numpy arrays that grow by doubling:
 
-    slot(row, phase, copy, level) = row * S + (phase * copies + copy) * L + level
+    slot(phase, copy, level) = (phase * copies + copy) * L + level
 
-with ``L`` levels per sampler and ``S = phases * copies * L`` slots per
-vertex row, holding the one-sparse counters ``(s0, s1, s2)`` of the AGM
-vertex vectors (``s0 = Σ δ``, ``s1 = Σ id·δ``, ``s2 = Σ δ·z^id mod p``).
+with ``L`` levels per sampler.  ``s0``/``s1`` are int64, ``s2`` holds
+uint64 residues mod ``p = 2^61 - 1``.
 
-Batched update math (:meth:`SketchBank.update_edges`): for each edge
-``{u, v}`` the bank computes the edge id and, per ``(phase, copy)``
-sampler, the geometric level depth ``trailing_zeros(h(id + 1))`` **once**
-— via a single batched Horner pass over the whole edge vector — and, per
-surviving level, the fingerprint power ``z^id mod p`` **once**, applying
-it with ``+1`` to the smaller endpoint's row and ``-1`` to the larger's.
-The seed path recomputed every hash and every power twice (once per
-endpoint) and once per object layer.  All heavy arithmetic goes through
-the backend seam of :mod:`repro.sketches.backend`, so the same bank runs
-on pure-Python or numpy kernels with bit-identical results.
+Batched updates (:meth:`SketchBank.update_edges`): for a batch of edges
+``{u, v}`` the bank evaluates every sampler's level hash at every edge id
+in one stacked Horner pass, takes trailing zeros for the level depths,
+and expands the ``(edge, sampler, level)`` triples with ``np.repeat``.
+Fingerprint powers ``z^id`` come from stacked baby-step/giant-step tables
+(two gathers and one mulmod per triple).  Each triple adds ``+δ`` to the
+smaller endpoint's row and ``-δ`` to the larger's: ``s0``/``s1`` by
+``np.add.at``, ``s2`` exactly by ``np.unique`` plus two float64
+``bincount`` passes over the 30/31-bit limbs of each residue, recombined
+with one mulmod.  The sketches are linear (Ahn-Guha-McGregor), so the
+order in which counters are added never changes the result.
 
-Updates are *signed*: because the sketches are linear maps of the edge
-multiset, ``update_edges(batch, sign=-1)`` deletes edges by applying the
-identical contributions negated — the substrate behind the dynamic-graph
-query service in :mod:`repro.serve`.  Self-loops are short-circuited to
-no-ops (an edge ``{u, u}`` contributes ``+1`` as the smaller endpoint and
-``-1`` as the larger to the *same* row, which cancels), so the streaming
-path never spends hash evaluations on them.
+Exactness of the fixed-width counters:
 
-Merging supernode rows, copying banks, and zero tests are bulk slice
-operations; :func:`bank_boruvka` runs Borůvka in sketch space directly on
-a bank, mirroring the legacy object loop decision for decision so that
-component labels are bit-identical to the seed implementation for fixed
-seeds (pinned by ``tests/integration/test_sketch_equivalence.py``).
+* ``s2`` limb sums: a residue ``< 2^61`` splits into a low limb ``< 2^30``
+  and a high limb ``< 2^31``.  One counter receives at most one term per
+  edge of a chunk of at most ``2^12`` edges, so each limb sum stays below
+  ``2^43 < 2^53`` and float64 adds it exactly.
+* ``s1`` is wrapping int64 arithmetic, i.e. exact mod ``2^64``.  Decoding
+  only trusts a counter whose final true value is one-sparse, and then
+  ``s1 = id·s0`` with ``|id| < n^2``, which fits in int64 -- so the
+  stored value *is* the true value, however far intermediate sums
+  wrapped.  A counter that is not one-sparse fails the ``s2`` fingerprint
+  test except with probability ``O(n^2 / p)``, wrapped or not.
+
+Updates are *signed*: ``update_edges(batch, sign=-1)`` deletes edges by
+applying the identical contributions negated -- the substrate behind the
+dynamic-graph query service in :mod:`repro.serve`.  Self-loops are
+no-ops: their ``+1`` and ``-1`` land on the same row and cancel.
+
+:func:`bank_boruvka` runs Borůvka in sketch space directly on a bank, in
+the legacy scan order decision for decision, so component labels are
+bit-identical to the seed implementation for fixed seeds (pinned by
+``tests/integration/test_sketch_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..graph.union_find import UnionFind
-from .backend import get_backend
-from .field import PRIME, fingerprint_power, trailing_zeros
+import numpy as np
 
-__all__ = ["SketchRow", "SketchBank", "bank_boruvka", "edge_id", "edge_from_id"]
+from ..graph.union_find import UnionFind
+from .backend import P, PowerTables, addmod, mulmod, poly_eval, trailing_zeros
+from .field import PRIME, fingerprint_power
+
+__all__ = [
+    "SamplerArrays",
+    "SketchRow",
+    "SketchBank",
+    "bank_boruvka",
+    "edge_id",
+    "edge_from_id",
+]
+
+#: Edges per scatter pass: bounds the temporaries and keeps every s2 limb
+#: sum below 2^53 (see the module docstring).
+_CHUNK = 1 << 12
+_LOW30 = np.uint64((1 << 30) - 1)
+_SHIFT30 = np.uint64(30)
+_TWO30 = np.uint64(1 << 30)
 
 
 def edge_id(n: int, u: int, v: int) -> int:
@@ -61,31 +83,64 @@ def edge_from_id(n: int, identifier: int) -> tuple[int, int]:
     return divmod(identifier, n)
 
 
+class SamplerArrays:
+    """A spec's samplers stacked for the array kernels.
+
+    Cached on the :class:`~repro.sketches.graph_sketch.GraphSketchSpec`
+    (``spec.arrays``) and shared by all of its banks.  The power tables
+    are built on the first update and freed with the spec.
+    """
+
+    def __init__(self, spec) -> None:
+        flat_seeds = [seeds for phase_seeds in spec.seeds for seeds in phase_seeds]
+        level_counts = {seeds.num_levels for seeds in flat_seeds}
+        if len(level_counts) != 1:
+            raise ValueError("bank requires a uniform level count across samplers")
+        self.num_levels = level_counts.pop()
+        self.num_samplers = len(flat_seeds)
+        self.coefficients = np.array(
+            [seeds.level_hash.coefficients for seeds in flat_seeds], dtype=np.uint64
+        )
+        #: Evaluation point of every slot, in slot order.
+        self.z_flat = [z for seeds in flat_seeds for z in seeds.z_points]
+        #: Slot offsets within one phase in decode order: copies in
+        #: order, levels from deepest to shallowest.
+        self.scan_order = [
+            base + level
+            for base in range(0, spec.copies * self.num_levels, self.num_levels)
+            for level in range(self.num_levels - 1, -1, -1)
+        ]
+        self.max_id = spec.n * spec.n
+        self._tables: PowerTables | None = None
+
+    def powers(self, slots, exponents):
+        """``z_flat[slots] ** exponents mod p`` elementwise, for exponents
+        (edge ids) below ``n^2``."""
+        if self._tables is None:
+            self._tables = PowerTables(self.z_flat, self.max_id)
+        return self._tables.powers(slots, exponents)
+
+
 class SketchRow:
-    """One vertex's flat counter row, detached from its bank.
+    """One vertex's counter row, detached from its bank.
 
     This is the unit shipped through the aggregation tree: machines
     extract rows from their partial banks, the converge-cast merges rows
     per vertex, and the destination machine reassembles a bank.  Its word
     cost matches the legacy ``VertexSketch`` charge exactly (one word of
-    vertex identity plus three counters per slot), keeping every ledger
-    unchanged by the migration.
+    vertex identity plus three counters per slot).
     """
 
     __slots__ = ("s0", "s1", "s2")
 
-    def __init__(self, s0: list[int], s1: list[int], s2: list[int]) -> None:
+    def __init__(self, s0, s1, s2) -> None:
         self.s0 = s0
         self.s1 = s1
         self.s2 = s2
 
     def merge(self, other: "SketchRow") -> "SketchRow":
         """Return the sum row (sketches are linear); inputs are untouched."""
-        return SketchRow(
-            [a + b for a, b in zip(self.s0, other.s0)],
-            [a + b for a, b in zip(self.s1, other.s1)],
-            [(a + b) % PRIME for a, b in zip(self.s2, other.s2)],
-        )
+        return SketchRow(self.s0 + other.s0, self.s1 + other.s1, addmod(self.s2, other.s2))
 
     def word_size(self) -> int:
         return 1 + 3 * len(self.s0)
@@ -96,72 +151,77 @@ class SketchBank:
 
     __slots__ = (
         "spec",
-        "backend",
+        "arrays",
         "num_levels",
         "num_samplers",
         "slots_per_row",
         "row_of",
         "vertices",
-        "s0",
-        "s1",
-        "s2",
-        "_flat_seeds",
-        "_z_flat",
-        "_max_id",
+        "_s0",
+        "_s1",
+        "_s2",
     )
 
-    def __init__(
-        self, spec, vertices: Iterable[int] = (), backend: object = None
-    ) -> None:
+    def __init__(self, spec, vertices: Iterable[int] = ()) -> None:
         self.spec = spec
-        self.backend = get_backend(backend)
-        flat_seeds = [seeds for phase_seeds in spec.seeds for seeds in phase_seeds]
-        level_counts = {seeds.num_levels for seeds in flat_seeds}
-        if len(level_counts) != 1:
-            raise ValueError("bank requires a uniform level count across samplers")
-        self.num_levels = level_counts.pop()
-        self.num_samplers = len(flat_seeds)
-        self.slots_per_row = self.num_samplers * self.num_levels
-        self._flat_seeds = flat_seeds
-        self._z_flat = [z for seeds in flat_seeds for z in seeds.z_points]
-        self._max_id = spec.n * spec.n
+        self.arrays = arrays = spec.arrays
+        self.num_levels = arrays.num_levels
+        self.num_samplers = arrays.num_samplers
+        self.slots_per_row = slots = arrays.num_samplers * arrays.num_levels
         self.row_of: dict[int, int] = {}
         self.vertices: list[int] = []
-        self.s0: list[int] = []
-        self.s1: list[int] = []
-        self.s2: list[int] = []
+        vertices = list(vertices)
+        self._s0 = np.zeros((len(vertices), slots), dtype=np.int64)
+        self._s1 = np.zeros((len(vertices), slots), dtype=np.int64)
+        self._s2 = np.zeros((len(vertices), slots), dtype=np.uint64)
         for vertex in vertices:
             self.add_vertex(vertex)
 
     # ------------------------------------------------------------------
     # rows
     # ------------------------------------------------------------------
+    @property
+    def s0(self):
+        return self._s0[: len(self.vertices)]
+
+    @property
+    def s1(self):
+        return self._s1[: len(self.vertices)]
+
+    @property
+    def s2(self):
+        return self._s2[: len(self.vertices)]
+
     def add_vertex(self, vertex: int) -> int:
         """Ensure *vertex* has a row (zero counters); return its index."""
         row = self.row_of.get(vertex)
         if row is None:
             row = self.row_of[vertex] = len(self.vertices)
             self.vertices.append(vertex)
-            zeros = [0] * self.slots_per_row
-            self.s0.extend(zeros)
-            self.s1.extend(zeros)
-            self.s2.extend(zeros)
+            if row == len(self._s0):
+                grown = max(8, 2 * row)
+                self._s0, self._s1, self._s2 = (
+                    np.concatenate((a, np.zeros((grown - row, a.shape[1]), a.dtype)))
+                    for a in (self._s0, self._s1, self._s2)
+                )
         return row
 
     def row(self, vertex: int) -> SketchRow:
         """Extract a detached copy of *vertex*'s counter row."""
-        start = self.row_of[vertex] * self.slots_per_row
-        end = start + self.slots_per_row
-        return SketchRow(self.s0[start:end], self.s1[start:end], self.s2[start:end])
+        r = self.row_of[vertex]
+        return SketchRow(self._s0[r].copy(), self._s1[r].copy(), self._s2[r].copy())
 
     def row_items(self) -> list[tuple[int, SketchRow]]:
-        """``(vertex, row)`` pairs in insertion order — aggregation payload."""
-        return [(vertex, self.row(vertex)) for vertex in self.vertices]
+        """``(vertex, row)`` pairs in insertion order -- aggregation payload."""
+        s0, s1, s2 = self.s0.copy(), self.s1.copy(), self.s2.copy()
+        return [
+            (vertex, SketchRow(s0[r], s1[r], s2[r]))
+            for r, vertex in enumerate(self.vertices)
+        ]
 
     def insert_row(self, vertex: int, row: SketchRow) -> None:
         """Add *row* into *vertex*'s row (creating it if missing)."""
-        self.add_vertex(vertex)
-        self._merge_row_data(self.row_of[vertex], row.s0, row.s1, row.s2, 0)
+        self._add_row(self.add_vertex(vertex), row.s0, row.s1, row.s2)
 
     # ------------------------------------------------------------------
     # updates
@@ -169,151 +229,99 @@ class SketchBank:
     def update_edges(self, edges: Iterable[tuple], sign: int = 1) -> None:
         """Bulk-apply undirected edges to both endpoint rows.
 
-        Edge ``{u, v}`` (id ``min*n + max``) contributes ``+1`` to the
-        smaller endpoint's vector and ``-1`` to the larger's.  Hash
-        evaluations, level depths, and fingerprint powers are computed
-        once per edge and shared by both endpoints; see the module
-        docstring for the batching scheme.
+        Edge ``{u, v}`` (id ``min*n + max``) contributes ``+sign`` to the
+        smaller endpoint's vector and ``-sign`` to the larger's; hashes,
+        level depths and fingerprint powers are computed once per edge and
+        shared by both endpoints.  *sign* is ``+1`` (insert, the default)
+        or ``-1`` (delete): an insert followed by a delete of the same
+        edge returns every counter to its prior value exactly.
 
-        *sign* applies the whole batch with ``+1`` (insert, the default)
-        or ``-1`` (delete): sketches are linear, so deleting an edge is
-        applying its contribution negated, and an insert followed by a
-        delete of the same edge returns every counter to its prior value
-        exactly.  The default path runs the identical insert-only
-        arithmetic as before the signed extension.
-
-        Self-loops are no-ops on the counters: a loop's ``+1``
-        (as the smaller endpoint) and ``-1`` (as the larger) land on the
-        same row and cancel, so they are short-circuited before any hash
-        is evaluated — the vertex still gets a (zero) row.
+        Self-loops are no-ops on the counters (their two contributions
+        cancel on one row) and are skipped before any hashing; the vertex
+        still gets a (zero) row.
         """
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         n = self.spec.n
-        pairs: list[tuple[int, int, int]] = []
+        add = self.add_vertex
+        lower: list[int] = []
+        upper: list[int] = []
+        ids: list[int] = []
         for edge in edges:
             u, v = edge[0], edge[1]
-            ru = self.add_vertex(u)
-            rv = self.add_vertex(v)
-            if u == v:
-                continue  # loop contributions provably cancel
-            elif u < v:
-                pairs.append((ru, rv, u * n + v))
-            else:
-                pairs.append((rv, ru, v * n + u))
-        if not pairs:
-            return
-
-        backend = self.backend
-        levels = self.num_levels
-        slots = self.slots_per_row
-        max_id = self._max_id
-        ids = [p[2] for p in pairs]
-        urows = [p[0] * slots for p in pairs]
-        vrows = [p[1] * slots for p in pairs]
-        xs = [(i + 1) % PRIME for i in ids]
-        s0, s1, s2 = self.s0, self.s1, self.s2
-        everything = range(len(pairs))
-        for j, seeds in enumerate(self._flat_seeds):
-            hashed = backend.poly_eval_many(
-                seeds.level_hash.coefficients, xs, reduce_inputs=False
+            ru = add(u)
+            rv = add(v)
+            if u < v:
+                lower.append(ru)
+                upper.append(rv)
+                ids.append(u * n + v)
+            elif v < u:
+                lower.append(rv)
+                upper.append(ru)
+                ids.append(v * n + u)
+        for start in range(0, len(ids), _CHUNK):
+            end = start + _CHUNK
+            self._scatter(
+                ids[start:end], ((lower[start:end], sign), (upper[start:end], -sign))
             )
-            depths = backend.trailing_zeros_many(hashed)
-            z_points = seeds.z_points
-            base = j * levels
-            sel: Iterable[int] = everything
-            for level in range(levels):
-                if level:
-                    sel = [k for k in sel if depths[k] >= level]
-                    if not sel:
-                        break
-                ids_sel = ids if level == 0 else [ids[k] for k in sel]
-                powers = backend.pow_many(
-                    z_points[level], ids_sel, max_exponent=max_id
-                )
-                slot = base + level
-                if sign == 1:
-                    for k, i, f in zip(sel, ids_sel, powers):
-                        a = urows[k] + slot
-                        s0[a] += 1
-                        s1[a] += i
-                        s2[a] = (s2[a] + f) % PRIME
-                        a = vrows[k] + slot
-                        s0[a] -= 1
-                        s1[a] -= i
-                        s2[a] = (s2[a] - f) % PRIME
-                else:
-                    # The mirror image: delete = insert with every
-                    # contribution negated (linearity).
-                    for k, i, f in zip(sel, ids_sel, powers):
-                        a = urows[k] + slot
-                        s0[a] -= 1
-                        s1[a] -= i
-                        s2[a] = (s2[a] - f) % PRIME
-                        a = vrows[k] + slot
-                        s0[a] += 1
-                        s1[a] += i
-                        s2[a] = (s2[a] + f) % PRIME
 
     def add_incident(self, vertex: int, u: int, v: int, sign: int = 1) -> None:
         """Account for incident edge ``{u, v}`` in *vertex*'s row only.
 
-        The single-edge path behind the legacy ``VertexSketch.add_edge``;
-        fingerprint powers come from the shared cache, so the second
-        endpoint of an edge never redoes the exponentiation.  *sign* is
-        ``+1`` (insert) or ``-1`` (delete); self-loops are no-ops (their
-        endpoint contributions cancel), matching :meth:`update_edges`.
+        The single-edge path behind the legacy ``VertexSketch.add_edge``.
+        *sign* is ``+1`` (insert) or ``-1`` (delete); self-loops are
+        no-ops, matching :meth:`update_edges`.
         """
         if vertex not in (u, v):
             raise ValueError("edge not incident to this vertex")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         row = self.add_vertex(vertex)
-        if u == v:
-            return
-        lo, hi = (u, v) if u <= v else (v, u)
-        identifier = lo * self.spec.n + hi
-        sign = sign if vertex == lo else -sign
+        if u != v:
+            lo, hi = min(u, v), max(u, v)
+            self._scatter([lo * self.spec.n + hi], (([row], sign if vertex == lo else -sign),))
+
+    def _scatter(self, ids: list[int], sides) -> None:
+        """Add edge ids' contributions into rows: *sides* pairs a row list
+        (one row per id) with the sign that side receives."""
+        arrays = self.arrays
         levels = self.num_levels
-        x = identifier + 1
-        s0, s1, s2 = self.s0, self.s1, self.s2
-        base = row * self.slots_per_row
-        for j, seeds in enumerate(self._flat_seeds):
-            depth = trailing_zeros(seeds.level_hash(x))
-            top = min(depth, levels - 1)
-            z_points = seeds.z_points
-            slot = base + j * levels
-            for level in range(top + 1):
-                f = fingerprint_power(z_points[level], identifier)
-                a = slot + level
-                s0[a] += sign
-                s1[a] += identifier * sign
-                s2[a] = (s2[a] + sign * f) % PRIME
+        ids = np.array(ids, dtype=np.int64)
+        hashed = poly_eval(arrays.coefficients, (ids + 1).astype(np.uint64))
+        # Levels 0..min(depth, L-1) of each (sampler, edge) pair.
+        counts = (np.minimum(trailing_zeros(hashed), levels - 1) + 1).ravel()
+        pair = np.repeat(np.arange(counts.size), counts)
+        level = np.arange(pair.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        sampler, edge = np.divmod(pair, len(ids))
+        slot = sampler * levels + level
+        exponent = ids[edge]
+        power = arrays.powers(slot, exponent)
+        negated = P - power  # powers of a nonzero z are never 0 mod p
+
+        slots = self.slots_per_row
+        index = np.concatenate(
+            [np.asarray(rows, dtype=np.int64)[edge] * slots + slot for rows, _ in sides]
+        )
+        d0 = np.concatenate([np.full(len(slot), s, dtype=np.int64) for _, s in sides])
+        d1 = np.concatenate([exponent * s for _, s in sides])
+        d2 = np.concatenate([power if s == 1 else negated for _, s in sides])
+        # The counter arrays are always C-contiguous, so reshape gives views.
+        np.add.at(self._s0.reshape(-1), index, d0)
+        np.add.at(self._s1.reshape(-1), index, d1)
+        keys, inverse = np.unique(index, return_inverse=True)
+        low = np.bincount(inverse, (d2 & _LOW30).astype(np.float64), len(keys))
+        high = np.bincount(inverse, (d2 >> _SHIFT30).astype(np.float64), len(keys))
+        total = addmod(mulmod(high.astype(np.uint64), _TWO30), low.astype(np.uint64))
+        flat2 = self._s2.reshape(-1)
+        flat2[keys] = addmod(flat2[keys], total)
 
     # ------------------------------------------------------------------
     # merging / copying
     # ------------------------------------------------------------------
-    def _merge_row_data(
-        self,
-        dst_row: int,
-        src_s0: list[int],
-        src_s1: list[int],
-        src_s2: list[int],
-        src_offset: int,
-    ) -> None:
-        slots = self.slots_per_row
-        a = dst_row * slots
-        b = src_offset
-        self.s0[a : a + slots] = [
-            x + y for x, y in zip(self.s0[a : a + slots], src_s0[b : b + slots])
-        ]
-        self.s1[a : a + slots] = [
-            x + y for x, y in zip(self.s1[a : a + slots], src_s1[b : b + slots])
-        ]
-        self.s2[a : a + slots] = [
-            (x + y) % PRIME
-            for x, y in zip(self.s2[a : a + slots], src_s2[b : b + slots])
-        ]
+    def _add_row(self, dst_row: int, s0, s1, s2) -> None:
+        self._s0[dst_row] += s0
+        self._s1[dst_row] += s1
+        self._s2[dst_row] = addmod(self._s2[dst_row], s2)
 
     def _check_compatible(self, other: "SketchBank") -> None:
         if other.spec is not self.spec and other.spec != self.spec:
@@ -324,9 +332,7 @@ class SketchBank:
         self._merge_row_by_index(self.row_of[dst], self.row_of[src])
 
     def _merge_row_by_index(self, dst_row: int, src_row: int) -> None:
-        self._merge_row_data(
-            dst_row, self.s0, self.s1, self.s2, src_row * self.slots_per_row
-        )
+        self._add_row(dst_row, self._s0[src_row], self._s1[src_row], self._s2[src_row])
 
     def merge_row_from(
         self, other: "SketchBank", src_vertex: int, dst_vertex: int | None = None
@@ -336,89 +342,74 @@ class SketchBank:
         if dst_vertex is None:
             dst_vertex = src_vertex
         dst_row = self.add_vertex(dst_vertex)
-        offset = other.row_of[src_vertex] * other.slots_per_row
-        self._merge_row_data(dst_row, other.s0, other.s1, other.s2, offset)
+        r = other.row_of[src_vertex]
+        self._add_row(dst_row, other._s0[r], other._s1[r], other._s2[r])
 
     def absorb(self, other: "SketchBank") -> None:
-        """Merge every row of *other* into this bank, vertex by vertex."""
+        """Merge every row of *other* into this bank (array adds)."""
         self._check_compatible(other)
-        for vertex in other.vertices:
-            self.merge_row_from(other, vertex)
+        rows = np.array([self.add_vertex(v) for v in other.vertices], dtype=np.int64)
+        self._s0[rows] += other.s0
+        self._s1[rows] += other.s1
+        self._s2[rows] = addmod(self._s2[rows], other.s2)
 
     def copy(self) -> "SketchBank":
         clone = SketchBank.__new__(SketchBank)
         clone.spec = self.spec
-        clone.backend = self.backend
+        clone.arrays = self.arrays
         clone.num_levels = self.num_levels
         clone.num_samplers = self.num_samplers
         clone.slots_per_row = self.slots_per_row
-        clone._flat_seeds = self._flat_seeds
-        clone._z_flat = self._z_flat
-        clone._max_id = self._max_id
         clone.row_of = dict(self.row_of)
         clone.vertices = list(self.vertices)
-        clone.s0 = self.s0[:]
-        clone.s1 = self.s1[:]
-        clone.s2 = self.s2[:]
+        clone._s0 = self.s0.copy()
+        clone._s1 = self.s1.copy()
+        clone._s2 = self.s2.copy()
         return clone
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def is_zero_vertex(self, vertex: int) -> bool:
-        start = self.row_of[vertex] * self.slots_per_row
-        end = start + self.slots_per_row
-        return (
-            not any(self.s0[start:end])
-            and not any(self.s1[start:end])
-            and not any(self.s2[start:end])
-        )
-
-    def _decode(self, index: int, z: int) -> tuple[int, int] | None:
-        """One-sparse recovery at flat slot *index* (mirrors
-        ``OneSparseSketch.decode`` exactly)."""
-        s0 = self.s0[index]
-        if s0 == 0:
-            return None
-        s1 = self.s1[index]
-        if s1 % s0 != 0:
-            return None
-        coordinate = s1 // s0
-        if coordinate < 0:
-            return None
-        if (s0 % PRIME) * fingerprint_power(z, coordinate) % PRIME != self.s2[index]:
-            return None
-        return coordinate, s0
+        r = self.row_of[vertex]
+        return not (self._s0[r].any() or self._s1[r].any() or self._s2[r].any())
 
     def _sample_row(self, row: int, phase: int) -> tuple[int, int] | None:
-        levels = self.num_levels
-        copies = self.spec.copies
-        row_base = row * self.slots_per_row
-        for copy_index in range(copies):
-            sampler = phase * copies + copy_index
-            base = sampler * levels
-            for level in range(levels - 1, -1, -1):
-                decoded = self._decode(
-                    row_base + base + level, self._z_flat[base + level]
-                )
+        """Decode *row*'s slice for *phase*: copies in order, levels from
+        deepest to shallowest -- the legacy scan order."""
+        scan = self.arrays.scan_order
+        start = phase * len(scan)
+        end = start + len(scan)
+        s0 = self._s0[row, start:end].tolist()
+        if not any(s0):
+            return None
+        s1 = self._s1[row, start:end].tolist()
+        s2 = self._s2[row, start:end].tolist()
+        z = self.arrays.z_flat
+        for k in scan:
+            if s0[k]:  # zero counters never decode
+                decoded = _decode(s0[k], s1[k], s2[k], z[start + k])
                 if decoded is not None:
                     return edge_from_id(self.spec.n, decoded[0])
         return None
 
     def sample_outgoing(self, vertex: int, phase: int) -> tuple[int, int] | None:
         """Sample an edge leaving *vertex*'s (super)vector using the given
-        phase's samplers; tries the independent copies in order, levels
-        from deepest to shallowest — the legacy scan order."""
+        phase's samplers; tries the independent copies in order."""
         return self._sample_row(self.row_of[vertex], phase)
 
     def decode_slot(
         self, vertex: int, phase: int, copy: int, level: int
     ) -> tuple[int, int] | None:
         """One-sparse recovery of a single addressed counter."""
-        sampler = phase * self.spec.copies + copy
-        offset = sampler * self.num_levels + level
-        index = self.row_of[vertex] * self.slots_per_row + offset
-        return self._decode(index, self._z_flat[offset])
+        offset = (phase * self.spec.copies + copy) * self.num_levels + level
+        r = self.row_of[vertex]
+        return _decode(
+            int(self._s0[r, offset]),
+            int(self._s1[r, offset]),
+            int(self._s2[r, offset]),
+            self.arrays.z_flat[offset],
+        )
 
     def word_size(self) -> int:
         """Total storage charge: every row costs what the legacy
@@ -436,13 +427,26 @@ class SketchBank:
         return len(self.vertices)
 
 
+def _decode(s0: int, s1: int, s2: int, z: int) -> tuple[int, int] | None:
+    """One-sparse recovery of one counter (mirrors
+    ``OneSparseSketch.decode`` exactly)."""
+    if s0 == 0 or s1 % s0 != 0:
+        return None
+    coordinate = s1 // s0
+    if coordinate < 0:
+        return None
+    if (s0 % PRIME) * fingerprint_power(z, coordinate) % PRIME != s2:
+        return None
+    return coordinate, s0
+
+
 def bank_boruvka(bank: SketchBank) -> tuple[UnionFind, list[tuple[int, int]]]:
     """Borůvka over a sketch bank (the large machine's local computation).
 
     Returns the component structure over the bank's vertices and the
     sampled edges that realized each union.  The loop mirrors the legacy
-    object implementation decision for decision — same root set, same
-    proposal order, same row-aliasing after unions — so its output is
+    object implementation decision for decision -- same root set, same
+    proposal order, same row-aliasing after unions -- so its output is
     bit-identical for equal bank contents.
     """
     uf = UnionFind(bank.vertices)

@@ -38,28 +38,14 @@ class KWiseHash:
             acc = (acc * x + coefficient) % PRIME
         return acc
 
-    def eval_many(self, xs, backend: object = None) -> list[int]:
-        """Evaluate the hash at every point of *xs* in one batched pass.
-
-        Delegates to a sketch backend (see :mod:`repro.sketches.backend`):
-        the pure backend runs one list pass per coefficient, the numpy
-        backend one vectorized multiply-add per coefficient.  Results are
-        bit-identical to calling the hash point by point.
-        """
-        from .backend import get_backend  # local import: avoids a cycle
-
-        return get_backend(backend).poly_eval_many(self.coefficients, xs)
-
 
 @lru_cache(maxsize=1 << 16)
 def fingerprint_power(z: int, index: int) -> int:
     """Cached ``z ** index mod PRIME``.
 
     Decoding retries the same candidate index across every copy, phase and
-    Borůvka round (and both endpoints of an edge contribute the same
-    fingerprint power during updates), so the modular exponentiation is
-    recomputed many times for identical arguments; a small shared cache
-    removes the repeats.
+    Borůvka round, so the modular exponentiation is recomputed many times
+    for identical arguments; a small shared cache removes the repeats.
     """
     return pow(z, index, PRIME)
 

@@ -14,21 +14,22 @@ previous one, each phase must use fresh, independent samplers; a
 packages (the extra copies boost the constant success probability of a
 single sampler).
 
-Since the vectorized-substrate migration the counters live in an
-array-backed :class:`~repro.sketches.bank.SketchBank`;
-:class:`VertexSketch` remains as a thin compatible wrapper over a
-single-row bank, and :func:`sketch_boruvka` assembles the object inputs
-into a bank and runs :func:`~repro.sketches.bank.bank_boruvka`.  Both
-produce bit-identical results to the seed per-object implementation.
+The counters live in an array-native
+:class:`~repro.sketches.bank.SketchBank`; :class:`VertexSketch` remains
+as a thin compatible wrapper over a single-row bank, and
+:func:`sketch_boruvka` assembles the object inputs into a bank and runs
+:func:`~repro.sketches.bank.bank_boruvka`.  Both produce bit-identical
+results to the seed per-object implementation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..graph.union_find import UnionFind
-from .bank import SketchBank, bank_boruvka, edge_from_id, edge_id
+from .bank import SamplerArrays, SketchBank, bank_boruvka, edge_from_id, edge_id
 from .l0 import L0Sampler, L0SamplerSeeds
 
 __all__ = [
@@ -73,6 +74,12 @@ class GraphSketchSpec:
     def copies(self) -> int:
         return len(self.seeds[0])
 
+    @cached_property
+    def arrays(self) -> SamplerArrays:
+        """The samplers stacked for the bank's array kernels; shared by
+        every bank of this spec and freed with it."""
+        return SamplerArrays(self)
+
 
 class VertexSketch:
     """All samplers of one vertex (or one merged supernode).
@@ -85,10 +92,10 @@ class VertexSketch:
 
     __slots__ = ("spec", "vertex", "bank")
 
-    def __init__(self, spec: GraphSketchSpec, vertex: int, backend: object = None) -> None:
+    def __init__(self, spec: GraphSketchSpec, vertex: int) -> None:
         self.spec = spec
         self.vertex = vertex
-        self.bank = SketchBank(spec, (vertex,), backend=backend)
+        self.bank = SketchBank(spec, (vertex,))
 
     def add_edge(self, u: int, v: int) -> None:
         """Account for incident edge ``{u, v}`` in this vertex's vector."""
@@ -112,17 +119,18 @@ class VertexSketch:
     def samplers(self) -> list[list[L0Sampler]]:
         """Read-only snapshot of the legacy object layout, materialized
         from the bank row (mutations do not write back)."""
-        bank = self.bank
-        index = bank.row_of[self.vertex] * bank.slots_per_row
+        row = self.bank.row(self.vertex)
+        s0, s1, s2 = row.s0.tolist(), row.s1.tolist(), row.s2.tolist()
+        index = 0
         out: list[list[L0Sampler]] = []
         for phase_seeds in self.spec.seeds:
             phase_list = []
             for seeds in phase_seeds:
                 sampler = L0Sampler(seeds)
                 for level_sketch in sampler.levels:
-                    level_sketch.s0 = bank.s0[index]
-                    level_sketch.s1 = bank.s1[index]
-                    level_sketch.s2 = bank.s2[index]
+                    level_sketch.s0 = s0[index]
+                    level_sketch.s1 = s1[index]
+                    level_sketch.s2 = s2[index]
                     index += 1
                 phase_list.append(sampler)
             out.append(phase_list)

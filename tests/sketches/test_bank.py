@@ -31,7 +31,11 @@ def object_rows(spec, edges):
 
 
 def rows_equal(a: SketchRow, b: SketchRow) -> bool:
-    return a.s0 == b.s0 and a.s1 == b.s1 and a.s2 == b.s2
+    return (
+        a.s0.tolist() == b.s0.tolist()
+        and a.s1.tolist() == b.s1.tolist()
+        and a.s2.tolist() == b.s2.tolist()
+    )
 
 
 EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (1, 5), (6, 2), (5, 0)]
